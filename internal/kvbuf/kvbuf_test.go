@@ -350,9 +350,6 @@ func TestGroupIterator(t *testing.T) {
 		{mkBytesWritable("c"), []byte("5")},
 		{mkBytesWritable("c"), []byte("6")},
 	}
-	if err := Validate(cmp, recs); err != nil {
-		t.Fatal(err)
-	}
 	g := NewGroupIterator(cmp, recs)
 	var sizes []int
 	for {
@@ -364,17 +361,6 @@ func TestGroupIterator(t *testing.T) {
 	}
 	if fmt.Sprint(sizes) != "[2 1 3]" {
 		t.Errorf("group sizes = %v", sizes)
-	}
-}
-
-func TestValidateDetectsDisorder(t *testing.T) {
-	cmp, _ := writable.Comparator("BytesWritable")
-	recs := []Record{
-		{mkBytesWritable("b"), nil},
-		{mkBytesWritable("a"), nil},
-	}
-	if err := Validate(cmp, recs); err == nil {
-		t.Error("unsorted records validated")
 	}
 }
 

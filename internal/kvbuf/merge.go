@@ -8,16 +8,24 @@ import (
 	"mrmicro/internal/writable"
 )
 
-// mergeEntry is one segment's cursor in the merge heap.
-type mergeEntry struct {
-	r        *Reader
-	key, val []byte
-	eof      bool
-	index    int // tie-break: earlier segment wins, keeping merges stable
+// RecordSource is a sorted cursor over key/value records: anything a merge
+// can drain. *Reader (in-memory segments) and *RunReader (on-disk runs)
+// both satisfy it. Returned slices are views owned by the source, valid
+// only until its next Next call.
+type RecordSource interface {
+	Next() (key, val []byte, ok bool, err error)
 }
 
-func (e *mergeEntry) advance() error {
-	k, v, ok, err := e.r.Next()
+// sourceEntry is one source's cursor in a SourceMerger.
+type sourceEntry struct {
+	src      RecordSource
+	key, val []byte
+	eof      bool
+	index    int // tie-break: earlier source wins, keeping merges stable
+}
+
+func (e *sourceEntry) advance() error {
+	k, v, ok, err := e.src.Next()
 	if err != nil {
 		return err
 	}
@@ -30,26 +38,55 @@ func (e *mergeEntry) advance() error {
 	return nil
 }
 
-// mergeHeap is a hand-rolled binary min-heap over segment cursors. It
-// deliberately avoids container/heap: the interface indirection and
-// Swap/Less method dispatch dominate small-record merges, and the merge
-// inner loop only ever needs "replace the root, sift it down".
-type mergeHeap struct {
+// SourceMerger is the package's k-way merge: a pull-based cursor over
+// RecordSources, drained by every merge entry point (MergeStream, Merge,
+// MergeAll, MergeSources). Ties between equal keys break toward the lower
+// source index, so callers that order sources by map-index range get
+// byte-identical output to a flat merge of the underlying segments. The
+// pull shape (instead of an emit callback) lets a consumer interleave its
+// own work — e.g. running the reducer group by group — without buffering
+// the merged stream.
+//
+// The heap is a hand-rolled binary min-heap rather than container/heap:
+// the interface indirection and Swap/Less method dispatch dominate
+// small-record merges, and the inner loop only ever needs "replace the
+// root, sift it down".
+type SourceMerger struct {
 	cmp     writable.RawComparator
-	entries []*mergeEntry
+	entries []*sourceEntry
 	comps   int64
+	started bool
 }
 
-func (h *mergeHeap) less(a, b *mergeEntry) bool {
-	h.comps++
-	if c := h.cmp(a.key, b.key); c != 0 {
+// NewSourceMerger primes a cursor on every source. Sources that are empty
+// from the start simply never surface.
+func NewSourceMerger(cmp writable.RawComparator, srcs []RecordSource) (*SourceMerger, error) {
+	m := &SourceMerger{cmp: cmp, entries: make([]*sourceEntry, 0, len(srcs))}
+	for i, s := range srcs {
+		e := &sourceEntry{src: s, index: i}
+		if err := e.advance(); err != nil {
+			return nil, err
+		}
+		if !e.eof {
+			m.entries = append(m.entries, e)
+		}
+	}
+	for i := len(m.entries)/2 - 1; i >= 0; i-- {
+		m.siftDown(i)
+	}
+	return m, nil
+}
+
+func (m *SourceMerger) less(a, b *sourceEntry) bool {
+	m.comps++
+	if c := m.cmp(a.key, b.key); c != 0 {
 		return c < 0
 	}
 	return a.index < b.index
 }
 
-func (h *mergeHeap) siftDown(i int) {
-	e := h.entries
+func (m *SourceMerger) siftDown(i int) {
+	e := m.entries
 	n := len(e)
 	root := e[i]
 	for {
@@ -57,10 +94,10 @@ func (h *mergeHeap) siftDown(i int) {
 		if child >= n {
 			break
 		}
-		if r := child + 1; r < n && h.less(e[r], e[child]) {
+		if r := child + 1; r < n && m.less(e[r], e[child]) {
 			child = r
 		}
-		if !h.less(e[child], root) {
+		if !m.less(e[child], root) {
 			break
 		}
 		e[i] = e[child]
@@ -69,48 +106,65 @@ func (h *mergeHeap) siftDown(i int) {
 	e[i] = root
 }
 
-func (h *mergeHeap) init() {
-	for i := len(h.entries)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
+// Next returns the next record in merged key order. The slices are views
+// owned by the winning source, valid until the following Next call.
+func (m *SourceMerger) Next() (key, val []byte, ok bool, err error) {
+	if m.started {
+		// Advance the cursor whose record the previous call handed out.
+		e := m.entries[0]
+		if err := e.advance(); err != nil {
+			return nil, nil, false, err
+		}
+		if e.eof {
+			last := len(m.entries) - 1
+			m.entries[0] = m.entries[last]
+			m.entries[last] = nil
+			m.entries = m.entries[:last]
+			if len(m.entries) > 1 {
+				m.siftDown(0)
+			}
+		} else {
+			m.siftDown(0)
+		}
+	}
+	if len(m.entries) == 0 {
+		return nil, nil, false, nil
+	}
+	m.started = true
+	e := m.entries[0]
+	return e.key, e.val, true, nil
+}
+
+// Comparisons returns the key comparisons performed so far.
+func (m *SourceMerger) Comparisons() int64 { return m.comps }
+
+// MergeSources drains a SourceMerger through emit. It returns the number of
+// key comparisons performed (which the simulated engines convert to CPU
+// time).
+func MergeSources(cmp writable.RawComparator, srcs []RecordSource, emit func(key, val []byte) error) (comparisons int64, err error) {
+	m, err := NewSourceMerger(cmp, srcs)
+	if err != nil {
+		return 0, err // priming compares nothing until every cursor is up
+	}
+	for {
+		k, v, ok, err := m.Next()
+		if err != nil || !ok {
+			return m.comps, err
+		}
+		if err := emit(k, v); err != nil {
+			return m.comps, err
+		}
 	}
 }
 
 // MergeStream k-way merges the segments in key order and calls emit for
-// every record. It returns the number of key comparisons performed (which
-// the simulated engines convert to CPU time).
+// every record: MergeSources over the segments' readers.
 func MergeStream(cmp writable.RawComparator, segs []*Segment, emit func(key, val []byte) error) (comparisons int64, err error) {
-	h := &mergeHeap{cmp: cmp, entries: make([]*mergeEntry, 0, len(segs))}
+	srcs := make([]RecordSource, len(segs))
 	for i, s := range segs {
-		e := &mergeEntry{r: s.NewReader(), index: i}
-		if err := e.advance(); err != nil {
-			return h.comps, err
-		}
-		if !e.eof {
-			h.entries = append(h.entries, e)
-		}
+		srcs[i] = s.NewReader()
 	}
-	h.init()
-	for len(h.entries) > 0 {
-		e := h.entries[0]
-		if err := emit(e.key, e.val); err != nil {
-			return h.comps, err
-		}
-		if err := e.advance(); err != nil {
-			return h.comps, err
-		}
-		if e.eof {
-			last := len(h.entries) - 1
-			h.entries[0] = h.entries[last]
-			h.entries[last] = nil
-			h.entries = h.entries[:last]
-			if len(h.entries) > 1 {
-				h.siftDown(0)
-			}
-		} else {
-			h.siftDown(0)
-		}
-	}
-	return h.comps, nil
+	return MergeSources(cmp, srcs, emit)
 }
 
 // Merge k-way merges segments into a single new segment.
@@ -324,14 +378,4 @@ func (g *GroupIterator) NextGroup() (key []byte, vals [][]byte, ok bool) {
 		g.pos++
 	}
 	return key, vals, true
-}
-
-// Validate checks that recs are sorted by cmp (a merge invariant).
-func Validate(cmp writable.RawComparator, recs []Record) error {
-	for i := 1; i < len(recs); i++ {
-		if cmp(recs[i-1].Key, recs[i].Key) > 0 {
-			return fmt.Errorf("kvbuf: records out of order at %d", i)
-		}
-	}
-	return nil
 }

@@ -16,159 +16,6 @@ import (
 // compressed segment format — so spill runs reuse the same parsers, CRC
 // trailer and codec header as shuffled map outputs.
 
-// RecordSource is a sorted cursor over key/value records: anything a merge
-// can drain. *Reader (in-memory segments) and *RunReader (on-disk runs)
-// both satisfy it. Returned slices are views owned by the source, valid
-// only until its next Next call.
-type RecordSource interface {
-	Next() (key, val []byte, ok bool, err error)
-}
-
-// sourceEntry is one source's cursor in a SourceMerger.
-type sourceEntry struct {
-	src      RecordSource
-	key, val []byte
-	eof      bool
-	index    int // tie-break: earlier source wins, keeping merges stable
-}
-
-func (e *sourceEntry) advance() error {
-	k, v, ok, err := e.src.Next()
-	if err != nil {
-		return err
-	}
-	if !ok {
-		e.eof = true
-		e.key, e.val = nil, nil
-		return nil
-	}
-	e.key, e.val = k, v
-	return nil
-}
-
-// SourceMerger is a pull-based k-way merge over RecordSources, the
-// streaming generalization of MergeStream. Ties between equal keys break
-// toward the lower source index, so callers that order sources by
-// map-index range get byte-identical output to a flat merge of the
-// underlying segments. The pull shape (instead of an emit callback) lets a
-// consumer interleave its own work — e.g. running the reducer group by
-// group — without buffering the merged stream.
-type SourceMerger struct {
-	cmp     writable.RawComparator
-	entries []*sourceEntry
-	comps   int64
-	started bool
-}
-
-// NewSourceMerger primes a cursor on every source. Sources that are empty
-// from the start simply never surface.
-func NewSourceMerger(cmp writable.RawComparator, srcs []RecordSource) (*SourceMerger, error) {
-	m := &SourceMerger{cmp: cmp, entries: make([]*sourceEntry, 0, len(srcs))}
-	for i, s := range srcs {
-		e := &sourceEntry{src: s, index: i}
-		if err := e.advance(); err != nil {
-			return nil, err
-		}
-		if !e.eof {
-			m.entries = append(m.entries, e)
-		}
-	}
-	m.initHeap()
-	return m, nil
-}
-
-func (m *SourceMerger) less(a, b *sourceEntry) bool {
-	m.comps++
-	if c := m.cmp(a.key, b.key); c != 0 {
-		return c < 0
-	}
-	return a.index < b.index
-}
-
-func (m *SourceMerger) siftDown(i int) {
-	e := m.entries
-	n := len(e)
-	root := e[i]
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && m.less(e[r], e[child]) {
-			child = r
-		}
-		if !m.less(e[child], root) {
-			break
-		}
-		e[i] = e[child]
-		i = child
-	}
-	e[i] = root
-}
-
-func (m *SourceMerger) initHeap() {
-	for i := len(m.entries)/2 - 1; i >= 0; i-- {
-		m.siftDown(i)
-	}
-}
-
-// Next returns the next record in merged key order. The slices are views
-// owned by the winning source, valid until the following Next call.
-func (m *SourceMerger) Next() (key, val []byte, ok bool, err error) {
-	if m.started {
-		// Advance the cursor whose record the previous call handed out.
-		e := m.entries[0]
-		if err := e.advance(); err != nil {
-			return nil, nil, false, err
-		}
-		if e.eof {
-			last := len(m.entries) - 1
-			m.entries[0] = m.entries[last]
-			m.entries[last] = nil
-			m.entries = m.entries[:last]
-			if len(m.entries) > 1 {
-				m.siftDown(0)
-			}
-		} else {
-			m.siftDown(0)
-		}
-	}
-	if len(m.entries) == 0 {
-		return nil, nil, false, nil
-	}
-	m.started = true
-	e := m.entries[0]
-	return e.key, e.val, true, nil
-}
-
-// Comparisons returns the key comparisons performed so far.
-func (m *SourceMerger) Comparisons() int64 { return m.comps }
-
-// MergeSources drains a SourceMerger through emit — the streaming analogue
-// of MergeStream for mixed memory/disk inputs.
-func MergeSources(cmp writable.RawComparator, srcs []RecordSource, emit func(key, val []byte) error) (comparisons int64, err error) {
-	m, err := NewSourceMerger(cmp, srcs)
-	if err != nil {
-		return m.comparisonsOrZero(), err
-	}
-	for {
-		k, v, ok, err := m.Next()
-		if err != nil || !ok {
-			return m.comps, err
-		}
-		if err := emit(k, v); err != nil {
-			return m.comps, err
-		}
-	}
-}
-
-func (m *SourceMerger) comparisonsOrZero() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.comps
-}
-
 // StreamWriter writes IFile records to an io.Writer, folding the CRC32
 // trailer incrementally — the merge side of a multi-pass on-disk merge,
 // where the output run is too large to buffer as a Segment.

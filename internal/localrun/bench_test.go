@@ -1,11 +1,9 @@
 package localrun
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
-	"mrmicro/internal/faultinject"
 	"mrmicro/internal/kvbuf"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/writable"
@@ -27,22 +25,17 @@ func benchSegment(n int, seed int64) *kvbuf.Segment {
 }
 
 // benchFetchAll shuffles one reducer's input — every map's partition segment
-// — from the server, bounded by `parallel` persistent pipelined connections.
-// It is the benchmark's view of the production copy phase, including its
-// buffer lifecycle: fetched payloads are drawn from the slab pool (GrabBuf)
-// and recycled once consumed, so steady-state iterations allocate almost
-// nothing per segment.
+// — from the server through the production copy phase, bounded by
+// `parallel` persistent pipelined connections, including its buffer
+// lifecycle: fetched payloads are drawn from the slab pool (GrabBuf) and
+// recycled by the phase's cleanup, so steady-state iterations allocate
+// almost nothing per segment.
 func benchFetchAll(addr string, maps, reduce, parallel int) error {
-	segs, _, _, err := fetchAllSegments(addr, maps, reduce, parallel, false, nil, faultinject.Backoff{})
+	res, err := fetchAnnounced(addr, maps, reduce, parallel)
 	if err != nil {
 		return err
 	}
-	for m, s := range segs {
-		if s == nil {
-			return fmt.Errorf("map %d segment missing", m)
-		}
-		s.Recycle()
-	}
+	res.cleanup()
 	return nil
 }
 

@@ -2,10 +2,11 @@ package localrun
 
 // This file is localrun's task-level surface for the distributed runtime
 // (internal/distrun): worker processes execute the exact same task bodies the
-// in-process executor runs — same sort/spill/merge machinery, same TCP
-// shuffle data plane — just driven by a remote coordinator instead of the
-// in-process scheduler. Keeping one implementation is what lets distrun
-// assert byte-identical output against an in-process run of the same config.
+// in-process executor runs — same map-side sort/spill machinery, same TCP
+// shuffle data plane, same streaming final merge+reduce pass (reduceInputs)
+// — just driven by a remote coordinator instead of the in-process
+// scheduler. Keeping one implementation is what lets distrun assert
+// byte-identical output against an in-process run of the same config.
 
 import (
 	"fmt"
@@ -137,19 +138,25 @@ func (tr *TaskRunner) RunMap(idx, attempt int, server *ShuffleServer, plan *faul
 }
 
 // RunReduce executes the sort+reduce tail of reduce task r over partition
-// segments the caller already fetched (one per map, ascending map order; a
-// flat merge over them emits records byte-identical to the in-process
-// executor's streamed copy phase). The caller owns shuffle-side counters
-// (SHUFFLED_MAPS, REDUCE_SHUFFLE_BYTES); this adds the merge/reduce ones.
+// segments the caller already fetched (one per map, ascending map order).
+// They enter the in-process executor's final pass as in-memory merge
+// inputs, so the output is byte-identical to an in-process run. The caller
+// owns the segments and the shuffle-side counters (SHUFFLED_MAPS,
+// REDUCE_SHUFFLE_BYTES); this adds the merge/reduce ones.
 func (tr *TaskRunner) RunReduce(r, attempt int, parts []*kvbuf.Segment, plan *faultinject.Plan) (*mapreduce.Counters, error) {
 	if r < 0 || r >= tr.numReduces {
 		return nil, fmt.Errorf("localrun: reduce index %d out of range [0, %d)", r, tr.numReduces)
 	}
 	ctrs := mapreduce.NewCounters()
-	rep := &mapreduce.CountersReporter{C: ctrs}
 	if plan != nil && plan.FailReduce(r, attempt) {
 		aid := mapreduce.ReduceAttempt(tr.jobID, r, attempt)
 		return ctrs, faultinject.Errorf("localrun: %s aborted after shuffle", aid)
 	}
-	return ctrs, reduceOverParts(tr.job, r, tr.cmp, parts, len(tr.splits), ctrs, rep)
+	inputs := make([]mergeInput, len(parts))
+	for m, seg := range parts {
+		inputs[m] = mergeInput{lo: m, hi: m + 1, seg: seg}
+	}
+	// Every input is in memory, so no disk pass runs and the scratch dir is
+	// never created.
+	return ctrs, reduceInputs(tr.job, r, tr.cmp, inputs, len(tr.splits), tr.job.Conf.IOSortFactor(), &runDir{}, &mergeTimings{}, ctrs)
 }

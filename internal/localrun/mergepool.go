@@ -1,21 +1,26 @@
-// mergepool.go is the memory-bounded side of the overlapped copy phase:
-// Hadoop's reduce-side MergeManager. Fetched segments are admitted into a
-// pool bounded by Options.ShuffleMemBudget; when the pool crosses the merge
-// threshold — or a copier is blocked waiting for room — a background merger
-// compacts a contiguous range of in-memory segments into one sorted on-disk
-// run (IFile spill format, compressed when the job compresses map output)
-// while the copiers keep fetching. The final reduce pass merges the mixed
-// memory+disk run set. Every run covers a contiguous range of map indices
-// and every merge tie-breaks equal keys by source position, so the output
-// bytes are identical to the unbounded all-in-memory merge — the budget is
-// invisible in the job's output, visible only in its memory ceiling.
+// mergepool.go is the reduce side's merge pipeline: Hadoop's MergeManager.
+// Fetched segments are admitted into a pool bounded by
+// Options.ShuffleMemBudget; when the pool crosses the merge threshold — or a
+// copier is blocked waiting for room — a background merger compacts a
+// contiguous range of in-memory segments into one sorted on-disk run (IFile
+// spill format, compressed when the job compresses map output) while the
+// copiers keep fetching. An unbounded reduce is the same pipeline at
+// budget = ∞: admission never waits and nothing spills. The final pass
+// (reduceInputs) streams one merge over the mixed memory+disk input set
+// straight into the reducer; intermediate disk passes bound its fan-in
+// whenever the set holds a disk run. Every run covers a contiguous range of
+// map indices and every merge tie-breaks equal keys by source position, so
+// the output bytes do not depend on the budget — it is visible only in the
+// job's memory ceiling.
 package localrun
 
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,18 +32,22 @@ import (
 )
 
 // shuffleTuning carries the reduce-side merge pipeline's knobs into the
-// copy phase. budget <= 0 keeps the pool unbounded (the all-in-memory fast
-// path, with block premerge); budget > 0 enables the bounded pool and its
-// background spiller, with threshold (merge percent x budget) as the spill
-// trigger. codec, when non-nil, compresses spill runs on disk. tm is the
-// stats sink; the constructor substitutes a fresh one when nil.
+// copy phase: the pool's byte budget and the pool bytes (merge percent x
+// budget) that trigger a background spill — both unboundedBudget for an
+// unbounded job — plus the merge fan-in. codec, when non-nil, compresses
+// spill runs on disk. tm is the stats sink; the constructor substitutes a
+// fresh one when nil.
 type shuffleTuning struct {
 	factor    int   // merge fan-in, io.sort.factor
-	budget    int64 // in-memory pool bound in bytes; <= 0: unbounded
+	budget    int64 // in-memory pool bound in bytes
 	threshold int64 // pool bytes that trigger a background spill
 	codec     kvbuf.Codec
 	tm        *mergeTimings
 }
+
+// unboundedBudget is budget = ∞: no pool fill reaches it, so admission
+// never waits and no spill ever triggers.
+const unboundedBudget = math.MaxInt64
 
 // mergeTimings accumulates the reduce-side merge pipeline's work for the
 // bench breakdown. Atomics because spills, intermediate merge waves, and
@@ -173,14 +182,15 @@ func (ss *streamShuffle) admitLocked(m int, sz int64) bool {
 	}
 	var blocked time.Time
 	ss.admitWaiters++
-	for ss.err == nil && !ss.aborted && ss.poolUsed > 0 && ss.poolUsed+sz > ss.tun.budget {
+	// Compared as sz > budget-poolUsed: poolUsed+sz could wrap at budget = ∞.
+	for ss.err == nil && !ss.aborted && ss.poolUsed > 0 && sz > ss.tun.budget-ss.poolUsed {
 		ss.maybeSpillLocked()
 		if !ss.spilling {
 			// No spill could start: any pooled bytes left are stale segments
 			// awaiting their re-fetch. Evict them — their replacement is what
 			// the blocked copiers are trying to store.
 			ss.evictStaleLocked()
-			if ss.poolUsed == 0 || ss.poolUsed+sz <= ss.tun.budget {
+			if ss.poolUsed == 0 || sz <= ss.tun.budget-ss.poolUsed {
 				break
 			}
 		}
@@ -226,7 +236,7 @@ func (ss *streamShuffle) evictStaleLocked() {
 // contiguous range of up-to-date pooled segments so the resulting run's
 // coverage stays mergeable by position. ss.mu held.
 func (ss *streamShuffle) maybeSpillLocked() {
-	if ss.tun.budget <= 0 || ss.spilling || ss.finalized {
+	if ss.spilling || ss.finalized {
 		return
 	}
 	if ss.poolUsed < ss.tun.threshold && ss.admitWaiters == 0 {
@@ -399,11 +409,10 @@ func (ss *streamShuffle) invalidateRunsLocked(m int) {
 	ss.runs = keep
 }
 
-// boundedInputsLocked assembles the final merge's mixed memory+disk source
-// list in map order and verifies it covers every map exactly once. A hole
+// inputsLocked assembles the final merge's mixed memory+disk source list in map order and verifies it covers every map exactly once. A hole
 // is a phase-accounting bug surfaced as a task error (the attempt retries)
 // rather than silently dropped input. ss.mu held.
-func (ss *streamShuffle) boundedInputsLocked() ([]mergeInput, error) {
+func (ss *streamShuffle) inputsLocked() ([]mergeInput, error) {
 	inputs := make([]mergeInput, 0, len(ss.runs)+ss.numMaps)
 	for _, run := range ss.runs {
 		inputs = append(inputs, mergeInput{lo: run.lo, hi: run.hi, run: run})
@@ -428,19 +437,13 @@ func (ss *streamShuffle) boundedInputsLocked() ([]mergeInput, error) {
 }
 
 // releaseAll returns every buffer and disk artifact the copy phase still
-// owns: remaining pooled segments, block premerge outputs, disk runs, and
-// the scratch directory. The reduce task calls it (via shuffleResult.cleanup)
+// owns: remaining pooled segments, disk runs, and the scratch directory. The reduce task calls it (via shuffleResult.cleanup)
 // once the reduce pass no longer references the merge inputs; Recycle and
 // drop are idempotent, so inputs consumed early by intermediate merge passes
 // are skipped naturally.
 func (ss *streamShuffle) releaseAll() {
 	ss.mu.Lock()
 	for _, s := range ss.segs {
-		if s != nil {
-			s.Recycle()
-		}
-	}
-	for _, s := range ss.blockSeg {
 		if s != nil {
 			s.Recycle()
 		}
@@ -570,14 +573,14 @@ func mergeRunGroup(r int, cmp writable.RawComparator, in []mergeInput, rdir *run
 	return mergeInput{lo: out.lo, hi: out.hi, run: out}, nil
 }
 
-// mergedValueIter adapts the pull-based source merger into the reducer's
-// ValueIterator, one key group at a time. The merger's views are only valid
-// until the next pull, so each value is unmarshaled before advancing.
-type mergedValueIter struct {
-	m        *kvbuf.SourceMerger
+// groupIter adapts a sorted record stream into a reducer's ValueIterator,
+// one key group at a time. The stream's views are only valid until the next
+// pull, so each value is unmarshaled before advancing.
+type groupIter struct {
+	src      kvbuf.RecordSource
 	cmp      writable.RawComparator
 	inst     writable.Writable
-	key, val []byte // pending record: views into the merger's sources
+	key, val []byte // pending record: views into the source
 	ok       bool
 	err      error
 	groupKey []byte // current group's key, copied so it outlives the views
@@ -586,30 +589,22 @@ type mergedValueIter struct {
 	consumed int64 // records consumed from the current group
 }
 
-func newMergedValueIter(m *kvbuf.SourceMerger, cmp writable.RawComparator, valType string) (*mergedValueIter, error) {
-	inst, err := writable.New(valType)
-	if err != nil {
-		return nil, err
-	}
-	it := &mergedValueIter{m: m, cmp: cmp, inst: inst}
-	it.pull()
-	return it, it.err
-}
-
-func (it *mergedValueIter) pull() {
-	it.key, it.val, it.ok, it.err = it.m.Next()
+func (it *groupIter) pull() {
+	it.key, it.val, it.ok, it.err = it.src.Next()
 }
 
 // beginGroup starts the next key group, unmarshaling its key into keyInst;
-// ok=false when the stream is exhausted. Sort order is validated here: a new
-// group's key must sort strictly after the previous group's (equal keys
-// cannot start a new group, and a smaller one means a mis-sorted source).
-func (it *mergedValueIter) beginGroup(keyInst writable.Writable) (bool, error) {
+// ok=false when the stream is exhausted. Sort order is checked here, and
+// only here: a new group's key must sort strictly after the previous
+// group's (equal keys cannot start a new group, and a smaller one means a
+// mis-sorted source), which catches every out-of-order record as the
+// stream passes.
+func (it *groupIter) beginGroup(keyInst writable.Writable) (bool, error) {
 	if it.err != nil || !it.ok {
 		return false, it.err
 	}
 	if it.started && it.cmp(it.key, it.groupKey) < 0 {
-		return false, fmt.Errorf("localrun: merged records out of order")
+		return false, fmt.Errorf("localrun: records out of order")
 	}
 	it.groupKey = append(it.groupKey[:0], it.key...)
 	it.started = true
@@ -622,7 +617,7 @@ func (it *mergedValueIter) beginGroup(keyInst writable.Writable) (bool, error) {
 }
 
 // Next implements mapreduce.ValueIterator over the current group.
-func (it *mergedValueIter) Next() (writable.Writable, bool) {
+func (it *groupIter) Next() (writable.Writable, bool) {
 	if it.err != nil || !it.inGroup || !it.ok || it.cmp(it.key, it.groupKey) != 0 {
 		return nil, false
 	}
@@ -637,7 +632,7 @@ func (it *mergedValueIter) Next() (writable.Writable, bool) {
 
 // endGroup drains whatever the reducer left unread and returns the group's
 // record count.
-func (it *mergedValueIter) endGroup() (int64, error) {
+func (it *groupIter) endGroup() (int64, error) {
 	for it.err == nil && it.ok && it.cmp(it.key, it.groupKey) == 0 {
 		it.consumed++
 		it.pull()
@@ -646,17 +641,54 @@ func (it *mergedValueIter) endGroup() (int64, error) {
 	return it.consumed, it.err
 }
 
-// reduceOverInputs is reduceOverParts' memory-bounded twin: the merge
-// sources are a position-ordered mix of in-memory segments and on-disk runs.
-// Intermediate disk passes bound the final fan-in to factor, then the final
-// pass streams the merge straight into the reducer — the record set is never
-// materialized, so a reduce whose shuffle volume exceeds RAM completes. The
-// emitted bytes are identical to reduceOverParts over the same fetched
-// segments (adjacent-only merging preserves positional tie-breaks).
-func reduceOverInputs(job *mapreduce.Job, r int, cmp writable.RawComparator, inputs []mergeInput, numMaps, factor int, rdir *runDir, tm *mergeTimings, ctrs *mapreduce.Counters, rep *mapreduce.CountersReporter) error {
-	inputs, err := intermediateMerges(r, cmp, inputs, factor, rdir, tm)
+// reduceGroups is the one group loop: the reduce task's final pass and the
+// map-side combiner both run it. It hands red each key group of the sorted
+// stream src in turn, reports the group's record count to onGroup once red
+// is done with it, and closes red at the end of the stream.
+func reduceGroups(src kvbuf.RecordSource, cmp writable.RawComparator, keyType, valType string, red mapreduce.Reducer, out mapreduce.Collector, rep mapreduce.Reporter, onGroup func(records int64)) error {
+	keyInst, err := writable.New(keyType)
 	if err != nil {
 		return err
+	}
+	inst, err := writable.New(valType)
+	if err != nil {
+		return err
+	}
+	it := &groupIter{src: src, cmp: cmp, inst: inst}
+	it.pull()
+	for {
+		ok, err := it.beginGroup(keyInst)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return red.Close(out, rep)
+		}
+		if err := red.Reduce(keyInst, it, out, rep); err != nil {
+			return err
+		}
+		n, err := it.endGroup()
+		if err != nil {
+			return err
+		}
+		onGroup(n)
+	}
+}
+
+// reduceInputs is the sort+reduce tail of every reduce task — in-process,
+// in a distrun worker, or through TaskRunner.RunReduce. The merge sources
+// are a position-ordered mix of in-memory segments and on-disk runs. When
+// the set holds a disk run, intermediate disk passes first bound the final
+// fan-in to factor; an all-memory set merges in one wide pass. The final
+// pass streams the merge straight into the reducer, so the record set is
+// never materialized and a reduce whose shuffle volume exceeds RAM
+// completes.
+func reduceInputs(job *mapreduce.Job, r int, cmp writable.RawComparator, inputs []mergeInput, numMaps, factor int, rdir *runDir, tm *mergeTimings, ctrs *mapreduce.Counters) error {
+	if slices.ContainsFunc(inputs, func(in mergeInput) bool { return in.run != nil }) {
+		var err error
+		if inputs, err = intermediateMerges(r, cmp, inputs, factor, rdir, tm); err != nil {
+			return err
+		}
 	}
 	t0 := time.Now()
 	defer func() { tm.addFinalMerge(time.Since(t0)) }()
@@ -684,35 +716,13 @@ func reduceOverInputs(job *mapreduce.Job, r int, cmp writable.RawComparator, inp
 		ctrs.IncrTask(mapreduce.CtrReduceOutputRecords, 1)
 		return writer.Write(k, v)
 	})
-	reducer := job.Reducer()
-	keyInst, err := writable.New(job.MapOutputKeyType)
-	if err != nil {
-		return err
-	}
-	it, err := newMergedValueIter(merger, cmp, job.MapOutputValueType)
-	if err != nil {
-		return fmt.Errorf("localrun: reduce %d merge: %w", r, err)
-	}
-	for {
-		ok, err := it.beginGroup(keyInst)
-		if err != nil {
-			return fmt.Errorf("localrun: reduce %d: %w", r, err)
-		}
-		if !ok {
-			break
-		}
+	rep := &mapreduce.CountersReporter{C: ctrs}
+	err = reduceGroups(merger, cmp, job.MapOutputKeyType, job.MapOutputValueType, job.Reducer(), out, rep, func(n int64) {
 		ctrs.IncrTask(mapreduce.CtrReduceInputGroups, 1)
-		if err := reducer.Reduce(keyInst, it, out, rep); err != nil {
-			return fmt.Errorf("localrun: reduce %d: %w", r, err)
-		}
-		n, err := it.endGroup()
-		if err != nil {
-			return fmt.Errorf("localrun: reduce %d values: %w", r, err)
-		}
 		ctrs.IncrTask(mapreduce.CtrReduceInputRecords, n)
-	}
-	if err := reducer.Close(out, rep); err != nil {
-		return err
+	})
+	if err != nil {
+		return fmt.Errorf("localrun: reduce %d: %w", r, err)
 	}
 	return writer.Close()
 }

@@ -14,32 +14,31 @@ import (
 	"mrmicro/internal/writable"
 )
 
-// renderShuffleResult merges a completed copy phase's sources (memory
-// segments or mixed memory+disk inputs) into key=value lines, the same way
-// the final reduce merge would read them.
+// unboundedTuning is the merge-pool tuning of a job with no shuffle memory
+// budget, as reduceTuning resolves it.
+func unboundedTuning(factor int) shuffleTuning {
+	return shuffleTuning{factor: factor, budget: unboundedBudget, threshold: unboundedBudget}
+}
+
+// renderShuffleResult merges a completed copy phase's mixed memory+disk
+// inputs into key=value lines, the same way the final reduce merge would
+// read them.
 func renderShuffleResult(t *testing.T, cmp writable.RawComparator, res *shuffleResult) string {
 	t.Helper()
 	var out bytes.Buffer
-	emit := func(k, v []byte) error {
+	srcs, open, err := openInputs(0, res.inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, o := range open {
+			o.Close()
+		}
+	}()
+	if _, err := kvbuf.MergeSources(cmp, srcs, func(k, v []byte) error {
 		fmt.Fprintf(&out, "%s=%s\n", k, v)
 		return nil
-	}
-	if res.inputs != nil {
-		srcs, open, err := openInputs(0, res.inputs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() {
-			for _, o := range open {
-				o.Close()
-			}
-		}()
-		if _, err := kvbuf.MergeSources(cmp, srcs, emit); err != nil {
-			t.Fatal(err)
-		}
-		return out.String()
-	}
-	if _, err := kvbuf.MergeStream(cmp, res.parts, emit); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return out.String()
@@ -84,8 +83,8 @@ func TestBoundedBackpressureCompletes(t *testing.T) {
 		}
 	}
 	// A 1-byte pool cannot hold two segments, so the phase must have spilled.
-	if res.inputs == nil || tm.diskRuns.Load() == 0 {
-		t.Fatalf("budget=1 recorded no disk runs (inputs=%v, runs=%d)", res.inputs != nil, tm.diskRuns.Load())
+	if tm.diskRuns.Load() == 0 {
+		t.Fatal("budget=1 recorded no disk runs")
 	}
 	out := renderShuffleResult(t, cmp, res)
 	for m := 0; m < maps; m++ {

@@ -1,7 +1,6 @@
 package localrun
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -269,8 +268,8 @@ func registerWordSegment(t *testing.T, s *shuffleServer, mapIdx int, key, val st
 // TestStaleAttemptReFetched drives the completion-events race directly: a
 // reducer fetches map 1's first-attempt bytes, then a "retried" attempt
 // re-registers fresh bytes and re-announces. The coordinator must detect the
-// version bump, re-fetch, invalidate any block merge the stale bytes fed,
-// and emit output containing only the new attempt's records.
+// version bump, re-fetch, replace the stale pooled segment, and emit output
+// containing only the new attempt's records.
 func TestStaleAttemptReFetched(t *testing.T) {
 	s, err := newShuffleServer(false)
 	if err != nil {
@@ -292,9 +291,10 @@ func TestStaleAttemptReFetched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// factor 2 with 6 maps enables background block merges, so the stale
-	// fetch can land inside a premerged block that must be invalidated.
-	ss := newStreamShuffle(s.Addr(), maps, 0, 2, false, nil, faultinject.Backoff{}, board, cmp, shuffleTuning{factor: 2})
+	// Unbounded pool: the stale fetch stays pooled until its re-fetch
+	// replaces it (TestBoundedStaleAttemptInvalidatesRun covers the case
+	// where it already sits in a disk run).
+	ss := newStreamShuffle(s.Addr(), maps, 0, 2, false, nil, faultinject.Backoff{}, board, cmp, unboundedTuning(2))
 
 	var mu sync.Mutex
 	fetches := map[int]int{}
@@ -321,6 +321,7 @@ func TestStaleAttemptReFetched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer res.cleanup()
 	<-reannounced // the hook must have fired
 
 	mu.Lock()
@@ -329,18 +330,12 @@ func TestStaleAttemptReFetched(t *testing.T) {
 	if refetches < 2 {
 		t.Fatalf("map 1 fetched %d times, want >= 2 (stale attempt not re-fetched)", refetches)
 	}
-	var out bytes.Buffer
-	if _, err := kvbuf.MergeStream(cmp, res.parts, func(k, v []byte) error {
-		fmt.Fprintf(&out, "%s=%s\n", k, v)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	out := renderShuffleResult(t, cmp, res)
+	if strings.Contains(out, "OLD") {
+		t.Errorf("merged output still carries the stale attempt's bytes:\n%s", out)
 	}
-	if strings.Contains(out.String(), "OLD") {
-		t.Errorf("merged output still carries the stale attempt's bytes:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "key-1=NEW") {
-		t.Errorf("merged output missing the retried attempt's record:\n%s", out.String())
+	if !strings.Contains(out, "key-1=NEW") {
+		t.Errorf("merged output missing the retried attempt's record:\n%s", out)
 	}
 	for m := 0; m < maps; m++ {
 		if !res.fetched[m] {
@@ -362,7 +357,7 @@ func TestStreamShuffleAborts(t *testing.T) {
 	board := newCompletionBoard(maps)
 	board.Announce(0, 0)
 	cmp, _ := writable.Comparator("Text")
-	ss := newStreamShuffle(s.Addr(), maps, 0, 2, false, nil, faultinject.Backoff{}, board, cmp, shuffleTuning{factor: 10})
+	ss := newStreamShuffle(s.Addr(), maps, 0, 2, false, nil, faultinject.Backoff{}, board, cmp, unboundedTuning(10))
 
 	done := make(chan struct{})
 	result := make(chan error, 1)

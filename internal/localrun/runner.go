@@ -42,8 +42,9 @@ type Options struct {
 	// memory+disk run set — so a reduce whose shuffle volume exceeds RAM
 	// completes, with output bytes identical to the unbounded merge. Zero
 	// defers to the job Conf's mapreduce.reduce.shuffle.input.buffer.bytes
-	// (default 0 = unbounded, the all-in-memory fast path); negative forces
-	// unbounded.
+	// (default 0 = unbounded); negative forces unbounded. Unbounded is the
+	// same pipeline with an infinite budget: every fetched segment stays in
+	// memory and nothing spills.
 	ShuffleMemBudget int64
 
 	// MergeFactor bounds the fan-in of reduce-side merges (in-memory spill
@@ -452,7 +453,8 @@ func runReduceWithRetry(job *mapreduce.Job, jobID mapreduce.JobID, r, numMaps in
 
 // reduceTuning resolves the reduce-side merge pipeline's knobs — fan-in,
 // memory budget, spill threshold, and the disk-run codec — from the options
-// and job conf. It is shared by every reduce attempt of the job.
+// and job conf, an unbounded budget resolving to unboundedBudget. It is
+// shared by every reduce attempt of the job.
 func reduceTuning(job *mapreduce.Job, opts *Options) (shuffleTuning, error) {
 	tun := shuffleTuning{factor: opts.MergeFactor, budget: opts.ShuffleMemBudget}
 	if tun.factor <= 0 {
@@ -462,10 +464,10 @@ func reduceTuning(job *mapreduce.Job, opts *Options) (shuffleTuning, error) {
 		tun.budget = job.Conf.ShuffleMemoryBytes()
 	}
 	if tun.budget <= 0 {
-		tun.budget = 0
-		return tun, nil
+		tun.budget, tun.threshold = unboundedBudget, unboundedBudget
+	} else {
+		tun.threshold = int64(float64(tun.budget) * job.Conf.ShuffleMergePercent())
 	}
-	tun.threshold = int64(float64(tun.budget) * job.Conf.ShuffleMergePercent())
 	if job.Conf.GetBool(mapreduce.ConfCompressMapOut, false) {
 		codec, ok := kvbuf.CodecByName(job.Conf.CompressCodec())
 		if !ok {
@@ -781,10 +783,6 @@ func runMapTask(job *mapreduce.Job, aid mapreduce.TaskAttemptID, split mapreduce
 
 // combineSegment runs the job's combiner over one sorted segment.
 func combineSegment(job *mapreduce.Job, seg *kvbuf.Segment, ctrs *mapreduce.Counters) (*kvbuf.Segment, error) {
-	recs, err := readAll(seg)
-	if err != nil {
-		return nil, err
-	}
 	cmp, err := writable.Comparator(job.MapOutputKeyType)
 	if err != nil {
 		return nil, err
@@ -801,86 +799,26 @@ func combineSegment(job *mapreduce.Job, seg *kvbuf.Segment, ctrs *mapreduce.Coun
 		ctrs.IncrTask(mapreduce.CtrCombineOutputRecs, 1)
 		return nil
 	})
-	combiner := job.Combiner()
 	rep := &mapreduce.CountersReporter{C: ctrs}
-	gi := kvbuf.NewGroupIterator(cmp, recs)
-	keyInst, _ := writable.New(job.MapOutputKeyType)
-	for {
-		kb, vals, ok := gi.NextGroup()
-		if !ok {
-			break
-		}
-		if err := writable.Unmarshal(kb, keyInst); err != nil {
-			return nil, err
-		}
-		ctrs.IncrTask(mapreduce.CtrCombineInputRecords, int64(len(vals)))
-		it := newValueIter(job.MapOutputValueType, vals)
-		if err := combiner.Reduce(keyInst, it, out, rep); err != nil {
-			return nil, err
-		}
-		if it.err != nil {
-			return nil, it.err
-		}
-	}
-	if err := combiner.Close(out, rep); err != nil {
+	err = reduceGroups(seg.NewReader(), cmp, job.MapOutputKeyType, job.MapOutputValueType, job.Combiner(), out, rep, func(n int64) {
+		ctrs.IncrTask(mapreduce.CtrCombineInputRecords, n)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return w.Close(), nil
 }
 
-func readAll(seg *kvbuf.Segment) ([]kvbuf.Record, error) {
-	var recs []kvbuf.Record
-	r := seg.NewReader()
-	for {
-		k, v, ok, err := r.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return recs, nil
-		}
-		recs = append(recs, kvbuf.Record{Key: k, Val: v})
-	}
-}
-
-// valueIter deserializes raw values into a reused Writable instance.
-type valueIter struct {
-	vals [][]byte
-	pos  int
-	inst writable.Writable
-	err  error
-}
-
-func newValueIter(valType string, vals [][]byte) *valueIter {
-	inst, err := writable.New(valType)
-	return &valueIter{vals: vals, inst: inst, err: err}
-}
-
-func (it *valueIter) Next() (writable.Writable, bool) {
-	if it.err != nil || it.pos >= len(it.vals) {
-		return nil, false
-	}
-	if err := writable.Unmarshal(it.vals[it.pos], it.inst); err != nil {
-		it.err = err
-		return nil, false
-	}
-	it.pos++
-	return it.inst, true
-}
-
 func runReduceTask(job *mapreduce.Job, aid mapreduce.TaskAttemptID, numMaps int, serverAddr string, cmp writable.RawComparator, plan *faultinject.Plan, bo faultinject.Backoff, copies int, tun shuffleTuning, faultCtrs *mapreduce.Counters, board *completionBoard, done <-chan struct{}, jobTM *mergeTimings) (*mapreduce.Counters, error) {
 	r := aid.Task.Index
 	ctrs := mapreduce.NewCounters()
-	rep := &mapreduce.CountersReporter{C: ctrs}
 
 	// Shuffle: stream this partition's segment from every map as it commits
 	// to the completion board, over parallelcopies persistent pipelined
 	// connections. Each fetch verifies the IFile checksum as it streams in
-	// and retries transient failures with backoff. With an unbounded pool,
-	// completed contiguous blocks merge in the background while later map
-	// waves still run; with ShuffleMemBudget set, the bounded pool's
-	// background spiller compacts in-memory segments to on-disk runs
-	// instead.
+	// and retries transient failures with backoff. Fetched segments enter
+	// the merge pool, whose background spiller compacts them to on-disk
+	// runs whenever the budget runs short.
 	compressed := job.Conf.GetBool(mapreduce.ConfCompressMapOut, false)
 	tm := &mergeTimings{} // this attempt's pipeline stats
 	tun.tm = tm
@@ -920,16 +858,7 @@ func runReduceTask(job *mapreduce.Job, aid mapreduce.TaskAttemptID, numMaps int,
 		return ctrs, faultinject.Errorf("localrun: %s aborted after shuffle", aid)
 	}
 
-	if sres.inputs != nil {
-		// Bounded pool with spilled runs: stream the final merge over the
-		// mixed memory+disk source set.
-		err = reduceOverInputs(job, r, cmp, sres.inputs, numMaps, tun.factor, &ss.rdir, tm, ctrs, rep)
-	} else {
-		t0 := time.Now()
-		err = reduceOverParts(job, r, cmp, sres.parts, numMaps, ctrs, rep)
-		tm.addFinalMerge(time.Since(t0))
-	}
-	if err != nil {
+	if err := reduceInputs(job, r, cmp, sres.inputs, numMaps, tun.factor, &ss.rdir, tm, ctrs); err != nil {
 		return ctrs, err
 	}
 	// Reduce-side disk runs count as spilled records, as in Hadoop. The
@@ -941,72 +870,6 @@ func runReduceTask(job *mapreduce.Job, aid mapreduce.TaskAttemptID, numMaps int,
 	}
 	jobTM.absorb(tm)
 	return ctrs, nil
-}
-
-// reduceOverParts is the sort+reduce tail of a reduce task: merge the fetched
-// partition segments, validate order, and run the reducer over the grouped
-// records. It is shared between the in-process executor (whose copy phase
-// hands over streamed/pre-merged parts) and the distributed runtime's workers
-// (whose parts come from per-map fetches against remote shuffle servers), so
-// both paths emit byte-identical output.
-func reduceOverParts(job *mapreduce.Job, r int, cmp writable.RawComparator, parts []*kvbuf.Segment, numMaps int, ctrs *mapreduce.Counters, rep *mapreduce.CountersReporter) error {
-	// Sort: one final merge pass over the streamed inputs — raw per-map
-	// segments plus any background-merged blocks standing in for their map
-	// ranges. Block merges preserved map-index tie-breaking, so the emitted
-	// record order is byte-identical to a flat merge after a barrier. The
-	// fan-in bound that matters for disk-backed merges (io.sort.factor)
-	// already shaped the background blocks; the final pass is a single wide
-	// in-memory merge. Emitted records are views into sres.parts, which
-	// stay alive below.
-	var recs []kvbuf.Record
-	if _, err := kvbuf.MergeStream(cmp, parts, func(k, v []byte) error {
-		recs = append(recs, kvbuf.Record{Key: k, Val: v})
-		return nil
-	}); err != nil {
-		return fmt.Errorf("localrun: reduce %d merge: %w", r, err)
-	}
-	ctrs.IncrTask(mapreduce.CtrMergedMapOutputs, int64(numMaps))
-	if err := kvbuf.Validate(cmp, recs); err != nil {
-		return fmt.Errorf("localrun: reduce %d: %w", r, err)
-	}
-
-	// Reduce.
-	writer, err := job.Output.Writer(job.Conf, r)
-	if err != nil {
-		return fmt.Errorf("localrun: reduce %d output: %w", r, err)
-	}
-	out := mapreduce.CollectorFunc(func(k, v writable.Writable) error {
-		ctrs.IncrTask(mapreduce.CtrReduceOutputRecords, 1)
-		return writer.Write(k, v)
-	})
-	reducer := job.Reducer()
-	gi := kvbuf.NewGroupIterator(cmp, recs)
-	keyInst, err := writable.New(job.MapOutputKeyType)
-	if err != nil {
-		return err
-	}
-	for {
-		kb, vals, ok := gi.NextGroup()
-		if !ok {
-			break
-		}
-		if err := writable.Unmarshal(kb, keyInst); err != nil {
-			return fmt.Errorf("localrun: reduce %d key: %w", r, err)
-		}
-		ctrs.IncrTask(mapreduce.CtrReduceInputGroups, 1)
-		ctrs.IncrTask(mapreduce.CtrReduceInputRecords, int64(len(vals)))
-		it := newValueIter(job.MapOutputValueType, vals)
-		if err := reducer.Reduce(keyInst, it, out, rep); err != nil {
-			return fmt.Errorf("localrun: reduce %d: %w", r, err)
-		}
-		if it.err != nil {
-			return fmt.Errorf("localrun: reduce %d values: %w", r, it.err)
-		}
-	}
-	if err := reducer.Close(out, rep); err != nil {
-		return err
-	}
-	return writer.Close()
 }
 
 func runMapOnly(job *mapreduce.Job, idx int, split mapreduce.InputSplit) (*mapreduce.Counters, error) {

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"mrmicro/internal/faultinject"
+	"mrmicro/internal/kvbuf"
 	"mrmicro/internal/mapreduce"
 	"mrmicro/internal/writable"
 )
@@ -360,8 +362,37 @@ func TestShuffleServerMissingSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := fetchSegment(s.Addr(), 9, 9); err == nil {
+	if _, _, _, err := FetchMapOutput(s.Addr(), 9, 9, false, nil, faultinject.Backoff{}); err == nil {
 		t.Error("fetch of unregistered segment succeeded")
+	}
+}
+
+// TestRunReduceRejectsDisorderedSegment: the streaming final pass is the
+// only place reduce input order is checked, so a fetched segment whose keys
+// are out of order must fail the reduce, naming it, instead of splitting a
+// key across groups.
+func TestRunReduceRejectsDisorderedSegment(t *testing.T) {
+	job, out := wordCountJob("x\n", 2, 2, false)
+	tr, err := NewTaskRunner(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := func(w *kvbuf.Writer, key string) {
+		w.Append(writable.Marshal(writable.NewText(key)), writable.Marshal(&writable.LongWritable{Value: 1}))
+	}
+	bad := kvbuf.NewWriter(64)
+	for _, k := range []string{"a", "c", "b"} {
+		record(bad, k)
+	}
+	good := kvbuf.NewWriter(64)
+	record(good, "a")
+	parts := []*kvbuf.Segment{good.Close(), bad.Close()}
+	_, err = tr.RunReduce(1, 0, parts, nil)
+	if err == nil {
+		t.Fatalf("out-of-order segment reduced without error; output %v", out.Pairs(1))
+	}
+	if !strings.Contains(err.Error(), "reduce 1") || !strings.Contains(err.Error(), "out of order") {
+		t.Errorf("error %q does not name the reduce and the disorder", err)
 	}
 }
 

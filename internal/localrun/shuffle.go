@@ -321,30 +321,9 @@ func (c *shuffleConn) responseCompressed() (seg *kvbuf.Segment, wire int64, err 
 	return seg, int64(n), nil
 }
 
-// fetchSegment retrieves one map-output partition over a throwaway
-// connection, verifying the payload's CRC trailer while it streams in. It
-// exists for one-shot callers; the copy phase itself runs segmentFetchers.
-func fetchSegment(addr string, mapIdx, partition int) (*kvbuf.Segment, error) {
-	c, err := dialShuffle(addr)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	if err := c.request(mapIdx, partition); err != nil {
-		return nil, err
-	}
-	data, err := c.response(true)
-	if err != nil {
-		if errors.Is(err, errSegmentMissing) {
-			return nil, missingSegmentErr(mapIdx, partition)
-		}
-		return nil, err
-	}
-	return kvbuf.SegmentFromBytes(data), nil
-}
-
-// missingSegmentErr is permanent: the map phase completed before any
-// reducer started, so a missing segment will never appear; fail fast
+// missingSegmentErr is permanent: reducers only request maps already
+// announced as committed, whose output the server registered before the
+// announcement, so a missing segment will not appear by waiting; fail fast
 // instead of retrying.
 func missingSegmentErr(mapIdx, partition int) error {
 	return faultinject.Permanent(fmt.Errorf("localrun: map %d partition %d not found on server", mapIdx, partition))
@@ -646,52 +625,6 @@ func (f *segmentFetcher) run(maps []int, store func(mapIdx int, seg *kvbuf.Segme
 	return firstErr
 }
 
-// fetchAllSegments shuffles one reduce task's input: every map's partition
-// segment, fetched over `copies` persistent connections (Hadoop's
-// mapreduce.reduce.shuffle.parallelcopies) with pipelined requests,
-// streaming CRC verification, and per-segment retry. segs and wire are
-// indexed by map; stats aggregates recovery events across all fetchers.
-func fetchAllSegments(addr string, numMaps, reduce, copies int, compressed bool, plan *faultinject.Plan, bo faultinject.Backoff) (segs []*kvbuf.Segment, wire []int64, stats fetchStats, err error) {
-	segs = make([]*kvbuf.Segment, numMaps)
-	wire = make([]int64, numMaps)
-	if copies < 1 {
-		copies = 1
-	}
-	copies = min(copies, numMaps)
-	sts := make([]fetchStats, copies)
-	errs := make([]error, copies)
-	var wg sync.WaitGroup
-	for w := 0; w < copies; w++ {
-		lo := w * numMaps / copies
-		hi := (w + 1) * numMaps / copies
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			f := &segmentFetcher{addr: addr, reduce: reduce, compressed: compressed, plan: plan, bo: bo, st: &sts[w]}
-			defer f.closeConn()
-			share := make([]int, 0, hi-lo)
-			for m := lo; m < hi; m++ {
-				share = append(share, m)
-			}
-			errs[w] = f.run(share, func(m int, seg *kvbuf.Segment, n int64) {
-				segs[m] = seg
-				wire[m] = n
-			})
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for w := 0; w < copies; w++ {
-		stats.add(sts[w])
-		if err == nil {
-			err = errs[w]
-		}
-	}
-	return segs, wire, stats, err
-}
-
 // errShuffleAborted reports a copy phase cut short because the job failed
 // elsewhere: the reduce attempt gives up waiting for announcements that
 // will never come.
@@ -699,34 +632,31 @@ var errShuffleAborted = errors.New("localrun: shuffle aborted: job canceled")
 
 // shuffleResult is one reduce task's completed overlapped copy phase.
 type shuffleResult struct {
-	// parts holds the merge inputs in ascending map-index order, with each
-	// background-merged block collapsed to a single segment in its block's
-	// position. Because blocks are contiguous runs of map indices and the
-	// block merge itself tie-breaks equal keys by map index, a final merge
-	// over parts emits records in exactly the order a flat merge over all
-	// per-map segments would — the overlap is invisible in the output bytes.
-	parts   []*kvbuf.Segment
+	// inputs are the final merge's sources in ascending map-index order:
+	// pooled in-memory segments and on-disk runs, each covering a
+	// contiguous map range (reduceInputs consumes them). Runs were merged
+	// with map-index tie-breaking, so a merge over inputs emits records in
+	// exactly the order a flat merge over all per-map segments would — the
+	// overlap and the budget are invisible in the output bytes.
+	inputs  []mergeInput
 	wire    []int64 // per original map: payload bytes moved for its winning fetch
 	fetched []bool  // per original map: its segment arrived
 	st      fetchStats
 
-	// inputs, when non-nil, replaces parts: the bounded pool's mixed
-	// memory+disk merge sources in map order (reduceOverInputs consumes
-	// them). cleanup releases everything the copy phase still owns —
-	// pooled segments, disk runs, the scratch dir — and must run once the
-	// reduce pass no longer references the merge inputs.
-	inputs  []mergeInput
+	// cleanup releases everything the copy phase still owns — pooled
+	// segments, disk runs, the scratch dir — and must run once the reduce
+	// pass no longer references the merge inputs.
 	cleanup func()
 }
 
 // streamShuffle coordinates one reduce task's overlapped copy phase: a
 // subscriber turns completion-board announcements into fetch work, `copies`
-// fetcher goroutines drain it over persistent pipelined connections (the
-// same segmentFetcher machinery the barrier path used), and completed
-// contiguous blocks of `factor` segments merge in the background so merge
-// work hides under the remaining copies. Re-announced maps (a retried
-// attempt committing after its predecessor's bytes may already have been
-// fetched) are re-fetched, invalidating any block merge they fed.
+// fetcher goroutines drain it over persistent pipelined connections
+// (segmentFetcher), and every fetched segment is admitted into the merge
+// pool (mergepool.go), whose background spiller turns pool pressure into
+// on-disk runs while the copiers keep fetching. Re-announced maps (a
+// retried attempt committing after its predecessor's bytes may already
+// have been fetched) are re-fetched, invalidating any disk run they fed.
 type streamShuffle struct {
 	addr       string
 	reduce     int
@@ -737,7 +667,6 @@ type streamShuffle struct {
 	bo         faultinject.Backoff
 	board      *completionBoard
 	cmp        writable.RawComparator
-	blockWidth int // premerge block size; 0 disables background merge
 	tun        shuffleTuning
 
 	onFetch func(mapIdx int) // test hook: called after a segment is stored
@@ -753,16 +682,13 @@ type streamShuffle struct {
 	fetchedVer []int64 // per map: board version whose fetch was stored (0 = none)
 	segs       []*kvbuf.Segment
 	wire       []int64
-	blockSeg   []*kvbuf.Segment // per block: background-merged output
-	merging    []bool
 	mergeWG    sync.WaitGroup
 	sts        []fetchStats
 	err        error
 	aborted    bool
 	finalized  bool
 
-	// Bounded-pool state (tun.budget > 0): poolUsed charges every admitted
-	// segment byte (including bytes held by an in-flight spill merge),
+	// Merge-pool state: poolUsed charges every admitted segment byte (including bytes held by an in-flight spill merge),
 	// admitWaiters counts copiers blocked on admission, spilling serializes
 	// background spills, runs are the recorded on-disk runs, and rdir lazily
 	// owns their scratch directory.
@@ -802,16 +728,6 @@ func newStreamShuffle(addr string, numMaps, reduce, copies int, compressed bool,
 		sts:        make([]fetchStats, copies),
 	}
 	ss.cond = sync.NewCond(&ss.mu)
-	// Background merge only pays when blocks complete while other maps are
-	// still copying; a single block spanning the whole job cannot overlap
-	// with anything, so it is disabled. With a bounded pool the background
-	// spiller IS the overlapped merge — block premerge would pin block-sized
-	// buffers the budget does not account for, so it is disabled too.
-	if tun.budget <= 0 && tun.factor >= 2 && numMaps > tun.factor {
-		ss.blockWidth = tun.factor
-		ss.blockSeg = make([]*kvbuf.Segment, (numMaps+tun.factor-1)/tun.factor)
-		ss.merging = make([]bool, len(ss.blockSeg))
-	}
 	return ss
 }
 
@@ -886,27 +802,14 @@ func (ss *streamShuffle) noteAnnounce(m int, ver int64) {
 		return
 	}
 	ss.queuedVer[m] = ver
-	// A newer attempt invalidates any block merge the old bytes fed.
-	if b := ss.blockOf(m); b >= 0 && ss.blockSeg[b] != nil {
-		ss.blockSeg[b].Recycle()
-		ss.blockSeg[b] = nil
-	}
-	// ... and any on-disk run: the superseded bytes cannot be carved back
-	// out of a merged run, so the run drops and its members re-fetch.
-	if ss.tun.budget > 0 {
-		ss.invalidateRunsLocked(m)
-	}
+	// A newer attempt invalidates any on-disk run the old bytes fed: they
+	// cannot be carved back out of a merged run, so the run drops and its
+	// members re-fetch.
+	ss.invalidateRunsLocked(m)
 	if !ss.queued[m] && !ss.inflight[m] && ss.fetchedVer[m] < ver {
 		ss.queued[m] = true
 		ss.queue = append(ss.queue, m)
 	}
-}
-
-func (ss *streamShuffle) blockOf(m int) int {
-	if ss.blockWidth == 0 {
-		return -1
-	}
-	return m / ss.blockWidth
 }
 
 // upToDate reports whether every map's announced bytes have been fetched.
@@ -974,7 +877,7 @@ func (ss *streamShuffle) worker(w int) {
 // queuedVer and the map is re-queued by batchDone.
 func (ss *streamShuffle) store(m int, seg *kvbuf.Segment, n int64) {
 	ss.mu.Lock()
-	if ss.tun.budget > 0 && !ss.admitLocked(m, int64(seg.Len())) {
+	if !ss.admitLocked(m, int64(seg.Len())) {
 		// The phase is ending (error or abort): drop the segment rather
 		// than block forever on a pool nobody will drain.
 		ss.mu.Unlock()
@@ -984,7 +887,6 @@ func (ss *streamShuffle) store(m int, seg *kvbuf.Segment, n int64) {
 	ss.segs[m] = seg
 	ss.wire[m] = n
 	ss.fetchedVer[m] = ss.dispVer[m]
-	ss.maybeMergeBlock(ss.blockOf(m))
 	ss.maybeSpillLocked()
 	ss.mu.Unlock()
 	if ss.onFetch != nil {
@@ -1010,60 +912,8 @@ func (ss *streamShuffle) batchDone(batch []int, err error) {
 	ss.mu.Unlock()
 }
 
-// maybeMergeBlock starts a background merge of block b once all its maps are
-// fetched, provided the copy phase still has other maps outstanding (merge
-// work that cannot hide under remaining copies is left to the final pass).
-// Caller holds ss.mu.
-func (ss *streamShuffle) maybeMergeBlock(b int) {
-	if b < 0 || ss.merging[b] || ss.blockSeg[b] != nil || ss.upToDate() {
-		return
-	}
-	lo := b * ss.blockWidth
-	hi := min(lo+ss.blockWidth, ss.numMaps)
-	if hi-lo < ss.blockWidth {
-		return // partial tail block: nothing to gain
-	}
-	members := make([]*kvbuf.Segment, 0, hi-lo)
-	vers := make([]int64, 0, hi-lo)
-	for m := lo; m < hi; m++ {
-		if ss.fetchedVer[m] == 0 || ss.fetchedVer[m] < ss.queuedVer[m] {
-			return
-		}
-		members = append(members, ss.segs[m])
-		vers = append(vers, ss.fetchedVer[m])
-	}
-	ss.merging[b] = true
-	ss.mergeWG.Add(1)
-	go func() {
-		defer ss.mergeWG.Done()
-		merged, _, err := kvbuf.MergeAll(ss.cmp, members, ss.blockWidth, 0)
-		ss.mu.Lock()
-		ss.merging[b] = false
-		stale := err != nil
-		for i, m := 0, lo; m < hi; i, m = i+1, m+1 {
-			// Stale if a re-fetch landed while we merged, or a re-announcement
-			// was noted: installing a block built from superseded bytes would
-			// make the later re-fetch's maybeMergeBlock a no-op against it.
-			if ss.fetchedVer[m] != vers[i] || ss.queuedVer[m] != vers[i] {
-				stale = true
-			}
-		}
-		if stale {
-			// A merge error is not a fetch error: the final pass will read
-			// the raw segments and report it with full context.
-			if merged != nil {
-				merged.Recycle()
-			}
-		} else {
-			ss.blockSeg[b] = merged
-		}
-		ss.mu.Unlock()
-	}()
-}
-
-// finalize assembles the merge inputs in map order, collapsing merged
-// blocks, and recycles raw segments whose bytes already live in a block
-// merge (the final merge will never read them).
+// finalize closes the copy phase and hands the pool's merge inputs, in map
+// order, to the reduce pass.
 func (ss *streamShuffle) finalize() (*shuffleResult, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
@@ -1085,31 +935,11 @@ func (ss *streamShuffle) finalize() (*shuffleResult, error) {
 	if ss.aborted && !ss.upToDate() {
 		return res, errShuffleAborted
 	}
-	if ss.tun.budget > 0 && len(ss.runs) > 0 {
-		inputs, err := ss.boundedInputsLocked()
-		if err != nil {
-			return res, err
-		}
-		res.inputs = inputs
-		return res, nil
+	inputs, err := ss.inputsLocked()
+	if err != nil {
+		return res, err
 	}
-	if ss.blockWidth == 0 {
-		res.parts = ss.segs
-		return res, nil
-	}
-	for b := 0; b*ss.blockWidth < ss.numMaps; b++ {
-		lo := b * ss.blockWidth
-		hi := min(lo+ss.blockWidth, ss.numMaps)
-		if ss.blockSeg[b] != nil {
-			res.parts = append(res.parts, ss.blockSeg[b])
-			for m := lo; m < hi; m++ {
-				ss.segs[m].Recycle()
-				ss.segs[m] = nil
-			}
-			continue
-		}
-		res.parts = append(res.parts, ss.segs[lo:hi]...)
-	}
+	res.inputs = inputs
 	return res, nil
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"mrmicro/internal/faultinject"
 	"mrmicro/internal/kvbuf"
+	"mrmicro/internal/writable"
 )
 
 // TestMissingSegmentKeepsConnectionAlive pins the persistent-connection
@@ -52,6 +53,23 @@ func TestMissingSegmentKeepsConnectionAlive(t *testing.T) {
 	}
 }
 
+// fetchAnnounced runs the production copy phase of reduce task `reduce`
+// against maps already registered with the server at addr: every map
+// announced up front, fetched over `copies` persistent pipelined connections
+// into an unbounded merge pool.
+func fetchAnnounced(addr string, maps, reduce, copies int) (*shuffleResult, error) {
+	board := newCompletionBoard(maps)
+	for m := 0; m < maps; m++ {
+		board.Announce(m, 0)
+	}
+	cmp, err := writable.Comparator("BytesWritable")
+	if err != nil {
+		return nil, err
+	}
+	ss := newStreamShuffle(addr, maps, reduce, copies, false, nil, faultinject.Backoff{}, board, cmp, unboundedTuning(10))
+	return ss.run(nil)
+}
+
 // TestFetchAllSegmentsPipelined drives the production copy path: many maps
 // over few persistent connections, every segment verified while streaming.
 func TestFetchAllSegmentsPipelined(t *testing.T) {
@@ -70,28 +88,33 @@ func TestFetchAllSegmentsPipelined(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segs, wire, st, err := fetchAllSegments(s.Addr(), maps, 5, 4, false, nil, faultinject.Backoff{})
+	res, err := fetchAnnounced(s.Addr(), maps, 5, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for m := 0; m < maps; m++ {
-		if segs[m] == nil {
-			t.Fatalf("map %d segment missing", m)
+	defer res.cleanup()
+	if len(res.inputs) != maps {
+		t.Fatalf("copy phase produced %d merge inputs, want one per map (%d)", len(res.inputs), maps)
+	}
+	for m, in := range res.inputs {
+		if in.seg == nil || in.lo != m {
+			t.Fatalf("input %d = maps [%d,%d) seg=%v, want map %d in memory", m, in.lo, in.hi, in.seg != nil, m)
 		}
-		if !bytes.Equal(segs[m].Bytes(), want[m].Bytes()) {
+		if !bytes.Equal(in.seg.Bytes(), want[m].Bytes()) {
 			t.Errorf("map %d payload mismatch", m)
 		}
-		if wire[m] != int64(want[m].Len()) {
-			t.Errorf("map %d wire length = %d, want %d", m, wire[m], want[m].Len())
+		if res.wire[m] != int64(want[m].Len()) {
+			t.Errorf("map %d wire length = %d, want %d", m, res.wire[m], want[m].Len())
 		}
 	}
-	if st.failures != 0 || st.retries != 0 || st.slow != 0 {
+	if st := res.st; st.failures != 0 || st.retries != 0 || st.slow != 0 {
 		t.Errorf("clean fetch recorded recovery events: %+v", st)
 	}
 }
 
 // TestFetchAllSegmentsMissingFailsFast: one unregistered map among many
-// must fail permanently (no backoff stalls) while the rest still fetch.
+// must fail permanently (no backoff stalls) while the rest of the pipelined
+// fetcher's share still fetches.
 func TestFetchAllSegmentsMissingFailsFast(t *testing.T) {
 	s, err := newShuffleServer(false)
 	if err != nil {
@@ -99,7 +122,9 @@ func TestFetchAllSegmentsMissingFailsFast(t *testing.T) {
 	}
 	defer s.Close()
 	const maps = 8
+	share := make([]int, maps)
 	for m := 0; m < maps; m++ {
+		share[m] = m
 		if m == 4 {
 			continue // the hole
 		}
@@ -109,9 +134,12 @@ func TestFetchAllSegmentsMissingFailsFast(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	segs := make([]*kvbuf.Segment, maps)
+	var st fetchStats
+	f := &segmentFetcher{addr: s.Addr(), bo: faultinject.Backoff{Attempts: 4, Base: 100 * time.Millisecond}, st: &st}
+	defer f.closeConn()
 	start := time.Now()
-	segs, _, _, err := fetchAllSegments(s.Addr(), maps, 0, 2, false, nil,
-		faultinject.Backoff{Attempts: 4, Base: 100 * time.Millisecond})
+	err = f.run(share, func(m int, seg *kvbuf.Segment, _ int64) { segs[m] = seg })
 	if err == nil {
 		t.Fatal("fetch with an unregistered segment succeeded")
 	}

@@ -334,7 +334,7 @@ func (js *JobState) RunReduceTask(p *sim.Proc, node *cluster.Node, idx int, onDo
 	// the run count can exceed io.sort.factor, and the merger pays
 	// intermediate disk passes first: each wave re-reads and re-writes the
 	// spilled volume while compacting up to factor adjacent runs per group
-	// (kvbuf.MergeWave), as localrun's reduceOverInputs does. Without the
+	// (kvbuf.MergeWave), as localrun's reduceInputs does. Without the
 	// byte key the single-pass model — and the existing figure calibration —
 	// is preserved byte for byte.
 	if b := spec.Conf.GetInt(mapreduce.ConfShuffleInputBufBytes, 0); b > 0 {
